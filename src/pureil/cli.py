@@ -57,7 +57,14 @@ def _emit(payload: dict) -> int:
 def _cmd_eval(args) -> int:
     w = function_from_json(_load_document(args.f))
     phi = parse_formula(args.phi)
-    constants = [int(v) for v in args.constants.split(",")] if args.constants else None
+    constants = None
+    if args.constants:
+        try:
+            constants = [int(v) for v in args.constants.split(",")]
+        except ValueError:
+            raise PureILError(
+                f"--constants needs comma-separated integers, got {args.constants!r}"
+            ) from None
     return _emit({"value": format_rational(w.eval_sentence(phi, constants))})
 
 

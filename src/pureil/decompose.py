@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
 
 from .errors import PureILError
-from .linalg import exact_det, exact_inverse_row
+from .linalg import exact_inverse_row
 from .nabla import (
     CompositionSet,
     FrequencyVector,
@@ -93,9 +94,15 @@ def _monomial(p: tuple[Fraction, ...], n: tuple[int, ...]) -> Fraction:
     return value
 
 
+# One entry per (q, g_ceiling) in use; compositions() caps q at 5.
+@lru_cache(maxsize=32)
 def choose_p_vectors(K: CompositionSet, g_ceiling: int = DEFAULT_G_CEILING) -> MonomialMatrix:
-    """Frequency vectors making the monomial matrix regular, at minimal g."""
+    """Frequency vectors making the monomial matrix regular, at minimal g.
+
+    Memoized: equal arguments return the same (immutable) system.
+    """
     q = K.q
+    unit_index = K.elements.index((1,) * q)
     for g in range(1, g_ceiling + 1):
         p_vectors = []
         for m in K.elements:
@@ -103,12 +110,10 @@ def choose_p_vectors(K: CompositionSet, g_ceiling: int = DEFAULT_G_CEILING) -> M
             total = sum(powered)
             p_vectors.append(FrequencyVector(tuple(v / total for v in powered)))
         entries = _monomial_entries(K, p_vectors)
-        det = exact_det([list(row) for row in entries])
-        if det != 0:
-            unit_index = K.elements.index((1,) * q)
-            b_row = tuple(exact_inverse_row([list(row) for row in entries], unit_index))
+        det, b_row = exact_inverse_row(entries, unit_index)
+        if b_row is not None:
             lam = sum((-b for b in b_row if b < 0), start=ZERO) / factorial(q)
-            return MonomialMatrix(q, K, tuple(p_vectors), entries, g, det, b_row, lam)
+            return MonomialMatrix(q, K, tuple(p_vectors), entries, g, det, tuple(b_row), lam)
     raise PureILError(f"no regular monomial matrix found with exponent up to {g_ceiling}")
 
 

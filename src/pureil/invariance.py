@@ -28,6 +28,8 @@ class AltNotation:
     C: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if self.q < 0:
+            raise PureILError(f"level q must be nonnegative, got q = {self.q}")
         object.__setattr__(self, "C", tuple(Fraction(v) for v in self.C))
         if len(self.C) != self.q + 1:
             raise PureILError(f"need {self.q + 1} entries at level {self.q}, got {len(self.C)}")

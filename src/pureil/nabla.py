@@ -16,9 +16,10 @@ times.  Positions 1..nu refer to the expansion of the stored rows in order.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm, prod
 
 from .errors import CapExceededError, PureILError
 from .language import enumerate_atoms
@@ -29,8 +30,6 @@ from .probability import (
     SymmetrizedFunction,
     _ConvexOfProducts,
 )
-
-ZERO = Fraction(0)
 
 MAX_COMPOSITION_PREDICATES = 5
 # ordered row-type picks enumerated when building an averaged function
@@ -165,15 +164,35 @@ def row_pick_function(upsilon: UpsilonMatrix, picks):
     return ProductFunction(_column_point(rows, len(rows), upsilon.nu))
 
 
-def _averaged(upsilon: UpsilonMatrix, q: int, type_weights) -> NablaFunction:
-    """Collapse weighted ordered row-type picks into one convex combination."""
-    gathered: dict[tuple[Fraction, ...], Fraction] = {}
+def _averaged(upsilon: UpsilonMatrix, q: int, type_weights, total: int) -> NablaFunction:
+    """Collapse weighted ordered row-type picks into one convex combination.
+
+    `type_weights` yields (row types, integer weight); weights are over
+    `total`.  Columns with equal bits across the distinct rows give the same
+    atom in every pick, so a pick costs one atom lookup per column class and
+    yields integer atom counts; fractions are formed once per distinct
+    component.
+    """
+    index = enumerate_atoms(q)._index
+    classes = Counter(zip(*(bits for bits, _ in upsilon.rows)))
+    # row type j's bit in each column class, and the columns in each class
+    class_bits = tuple(zip(*classes))
+    class_sizes = tuple(classes.values())
+    gathered: dict[tuple[int, ...], int] = {}
     for types, weight in type_weights:
-        rows = tuple(upsilon.rows[j][0] for j in types)
-        x = _column_point(rows, q, upsilon.nu).x
-        gathered[x] = gathered.get(x, ZERO) + weight
-    components = tuple((w, x) for x, w in sorted(gathered.items()))
-    return NablaFunction(upsilon, q, components)
+        counts = [0] * 2 ** q
+        for eps, size in zip(zip(*(class_bits[j] for j in types)), class_sizes):
+            counts[index[eps] - 1] += size
+        key = tuple(counts)
+        gathered[key] = gathered.get(key, 0) + weight
+    nu = upsilon.nu
+    components = []
+    for counts in sorted(gathered):  # counts share the denominator nu: same order as x
+        if sum(counts) != nu:
+            raise PureILError(f"internal error: atom counts {counts} do not sum to nu = {nu}")
+        x = tuple(Fraction(count, nu) for count in counts)
+        components.append((Fraction(gathered[counts], total), x))
+    return NablaFunction(upsilon, q, tuple(components))
 
 
 def nabla(upsilon: UpsilonMatrix, q: int) -> NablaFunction:
@@ -183,16 +202,12 @@ def nabla(upsilon: UpsilonMatrix, q: int) -> NablaFunction:
     t = len(upsilon.rows)
     if t ** q > MAX_PICK_COMPONENTS:
         raise CapExceededError(f"{t} row types at q = {q} exceed the pick cap")
-    mults = [Fraction(m, upsilon.nu) for _, m in upsilon.rows]
-
-    def weighted():
-        for types in itertools.product(range(t), repeat=q):
-            weight = Fraction(1)
-            for j in types:
-                weight *= mults[j]
-            yield types, weight
-
-    return _averaged(upsilon, q, weighted())
+    mults = [m for _, m in upsilon.rows]
+    weighted = (
+        (types, prod(mults[j] for j in types))
+        for types in itertools.product(range(t), repeat=q)
+    )
+    return _averaged(upsilon, q, weighted, upsilon.nu ** q)
 
 
 def nabla_no_replacement(upsilon: UpsilonMatrix, q: int) -> NablaFunction:
@@ -204,25 +219,22 @@ def nabla_no_replacement(upsilon: UpsilonMatrix, q: int) -> NablaFunction:
     t = len(upsilon.rows)
     if t ** q > MAX_PICK_COMPONENTS:
         raise CapExceededError(f"{t} row types at q = {q} exceed the pick cap")
-    denom = Fraction(1)
-    for k in range(q):
-        denom *= upsilon.nu - k
 
     def weighted():
         for types in itertools.product(range(t), repeat=q):
-            numer = Fraction(1)
+            numer = 1
             used: dict[int, int] = {}
             for j in types:
                 available = upsilon.rows[j][1] - used.get(j, 0)
                 if available <= 0:
-                    numer = ZERO
+                    numer = 0
                     break
                 numer *= available
                 used[j] = used.get(j, 0) + 1
-            if numer != 0:
-                yield types, numer / denom
+            if numer:
+                yield types, numer
 
-    return _averaged(upsilon, q, weighted())
+    return _averaged(upsilon, q, weighted(), perm(upsilon.nu, q))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ value additively over the atoms.  Concrete classes:
 * ``SymmetrizedFunction`` -- the average of product functions over all
   predicate renamings, hence invariant under them;
 * ``MixtureFunction`` -- finite convex combination with rational weights;
+  when every part is a mixture of products (product, symmetrized, row-sampling
+  or such mixtures), it evaluates through one merged integer table;
 * ``RestrictedFunction`` -- a higher-level function marginalized down by
   summing over atom refinements.
 
@@ -68,6 +70,8 @@ class ProbabilityFunction:
     """Base class: a level and an exact value on every state description."""
 
     tag = "abstract"
+    # integer table, for a finite mixture of product functions
+    _table: "_ProductTable | None" = None
 
     def __init__(self, q: int):
         self.q = q
@@ -105,51 +109,87 @@ class ProbabilityFunction:
         return sum((self.eval_sd(theta) for theta in models), start=ZERO)
 
 
-class _ConvexOfProducts(ProbabilityFunction):
-    """Finite convex combination of product functions, stored explicitly.
+class _ProductTable:
+    """Integer form of a finite mixture of product functions.
 
-    Values are computed as integer numerators over the fixed denominator
-    weight_den * entry_den^n, reducing once at the end; the integer form is
-    also what restriction sums over refinements.
+    The value on an atom tuple h is sum_c weight_c * prod_{a in h} x_c[a],
+    computed as an integer numerator over the fixed denominator
+    weight_den * entry_den^len(h) and reduced once at the end; restriction
+    sums these numerators over refinements.
     """
 
-    def __init__(self, q: int, components: tuple[tuple[Fraction, tuple[Fraction, ...]], ...]):
-        super().__init__(q)
-        self.components = components
-        entry_den = 1
-        weight_den = 1
-        for weight, x in components:
-            weight_den = lcm(weight_den, weight.denominator)
-            for v in x:
-                entry_den = lcm(entry_den, v.denominator)
-        self._entry_den = entry_den
-        self._weight_den = weight_den
-        self._scaled = tuple(
-            (int(weight * weight_den), tuple(int(v * entry_den) for v in x))
+    def __init__(self, scaled: tuple[tuple[int, tuple[int, ...]], ...], weight_den: int,
+                 entry_den: int):
+        self.scaled = scaled
+        self.weight_den = weight_den
+        self.entry_den = entry_den
+        self._cache: dict[tuple[int, ...], int] = {}
+
+    @classmethod
+    def from_components(cls, components) -> "_ProductTable":
+        weight_den = lcm(*(weight.denominator for weight, _ in components))
+        entry_den = lcm(*{v.denominator for _, x in components for v in x})
+        scaled = tuple(
+            (
+                weight.numerator * (weight_den // weight.denominator),
+                tuple(v.numerator * (entry_den // v.denominator) for v in x),
+            )
             for weight, x in components
         )
-        self._int_cache: dict[tuple[int, ...], int] = {}
+        return cls(scaled, weight_den, entry_den)
 
-    def _int_value(self, h: tuple[int, ...]) -> int:
-        """Numerator of the value over denominator weight_den * entry_den^n."""
-        total = self._int_cache.get(h)
+    @classmethod
+    def merged(cls, parts) -> "_ProductTable | None":
+        """The table of the weighted mixture of `parts`, equal points merged,
+        or None unless every part has a table."""
+        tables = [(weight, f._table) for weight, f in parts]
+        if any(table is None for _, table in tables):
+            return None
+        entry_den = lcm(*(table.entry_den for _, table in tables))
+        weight_den = lcm(*(weight.denominator * table.weight_den for weight, table in tables))
+        merged: dict[tuple[int, ...], int] = {}
+        for weight, table in tables:
+            x_scale = entry_den // table.entry_den
+            w_scale = weight.numerator * (weight_den // (weight.denominator * table.weight_den))
+            for w, x in table.scaled:
+                if x_scale != 1:
+                    x = tuple(v * x_scale for v in x)
+                merged[x] = merged.get(x, 0) + w * w_scale
+        return cls(tuple((w, x) for x, w in merged.items()), weight_den, entry_den)
+
+    def numerator(self, h: tuple[int, ...]) -> int:
+        """Numerator of the value over `denominator(len(h))`, memoized."""
+        total = self._cache.get(h)
         if total is None:
             total = 0
-            for weight, x in self._scaled:
+            for weight, x in self.scaled:
                 term = weight
                 for a in h:
                     term *= x[a - 1]
                     if not term:
                         break
                 total += term
-            self._int_cache[h] = total
+            self._cache[h] = total
         return total
 
-    def _denominator(self, n: int) -> int:
-        return self._weight_den * self._entry_den ** n
+    def denominator(self, n: int) -> int:
+        return self.weight_den * self.entry_den ** n
+
+    def value(self, h: tuple[int, ...]) -> Fraction:
+        return Fraction(self.numerator(h), self.weight_den * self.entry_den ** len(h))
+
+
+class _ConvexOfProducts(ProbabilityFunction):
+    """Finite convex combination of product functions, stored explicitly and
+    evaluated through its integer table."""
+
+    def __init__(self, q: int, components: tuple[tuple[Fraction, tuple[Fraction, ...]], ...]):
+        super().__init__(q)
+        self.components = components
+        self._table = _ProductTable.from_components(components)
 
     def _eval(self, h: tuple[int, ...]) -> Fraction:
-        return Fraction(self._int_value(h), self._denominator(len(h)))
+        return self._table.value(h)
 
 
 class ProductFunction(_ConvexOfProducts):
@@ -202,8 +242,13 @@ class MixtureFunction(ProbabilityFunction):
             raise PureILError(f"mixture weights sum to {total}, not 1")
         super().__init__(levels.pop())
         self.parts = tuple(parts)
+        # a mixture of (mixtures of) products is itself one: evaluate it
+        # through one merged table, while `parts` keeps its structure
+        self._table = _ProductTable.merged(self.parts)
 
     def _eval(self, h: tuple[int, ...]) -> Fraction:
+        if self._table is not None:
+            return self._table.value(h)
         return sum((w * f._value(h) for w, f in self.parts), start=ZERO)
 
 
@@ -227,12 +272,13 @@ class RestrictedFunction(ProbabilityFunction):
                 f"restriction evaluates {len(h)} constants, cap is {MAX_RESTRICT_CONSTANTS}"
             )
         refinements = itertools.product(*(self._refine[a - 1] for a in h))
-        if isinstance(self.base, _ConvexOfProducts):
+        table = self.base._table
+        if table is not None:
             # all refined tuples share one denominator: sum plain integers
-            base_int = self.base._int_value
+            numerator = table.numerator
             return Fraction(
-                sum(base_int(refined) for refined in refinements),
-                self.base._denominator(len(h)),
+                sum(numerator(refined) for refined in refinements),
+                table.denominator(len(h)),
             )
         total = ZERO
         base_value = self.base._value

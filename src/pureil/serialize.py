@@ -43,7 +43,10 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL.match(text.strip()):
         raise PureILError(f"not a rational literal: {text!r}")
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise PureILError(f"zero denominator in rational literal {text!r}") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -38,6 +38,14 @@ def test_eval_constants_window(capsys):
     assert json.loads(out) == {"value": "1/2"}
 
 
+def test_eval_constants_not_integers(capsys):
+    code, out = run(capsys, "eval", "--f", FAIR_PRODUCT, "--phi", "P1(a1)", "--constants", "x")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"]["type"] == "PureILError"
+    assert "--constants" in doc["error"]["message"]
+
+
 def test_eval_formula_error(capsys):
     code, out = run(capsys, "eval", "--f", FAIR_PRODUCT, "--phi", "P1(a1")
     assert code == 1
@@ -141,6 +149,14 @@ def test_extend_bad_vector(capsys):
     assert json.loads(out)["error"]["type"] == "PureILError"
 
 
+def test_extend_zero_denominator(capsys):
+    code, out = run(capsys, "extend", "--C", "1/0,1/2,1/4", "--q", "2", "--r", "4")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"]["type"] == "PureILError"
+    assert "zero denominator" in doc["error"]["message"]
+
+
 def test_extend_wrong_direction(capsys):
     code, out = run(capsys, "extend", "--C", "1/4,1/4,1/4", "--q", "2", "--r", "1")
     assert code == 1
@@ -155,6 +171,12 @@ def test_bernstein(capsys):
 def test_bernstein_bad_measure(capsys):
     code, out = run(capsys, "bernstein", "--measure", '[{"x":"3/2","w":"1"}]', "--q", "2")
     assert code == 1
+
+
+def test_bernstein_negative_level(capsys):
+    code, out = run(capsys, "bernstein", "--measure", '[{"x":"1/2","w":"1"}]', "--q", "-1")
+    assert code == 1
+    assert "q = -1" in json.loads(out)["error"]["message"]
 
 
 def test_nabla_eval(capsys):

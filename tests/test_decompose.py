@@ -8,7 +8,7 @@ import pytest
 from pureil.decompose import Decomposition, choose_p_vectors, decompose_px, decompose_y
 from pureil.errors import PureILError
 from pureil.language import all_state_descriptions
-from pureil.linalg import exact_det, permutation_expansion_det
+from pureil.linalg import exact_det
 from pureil.nabla import (
     FrequencyVector,
     build_phi,
@@ -26,6 +26,7 @@ from pureil.probability import (
     restrict,
     uniform_point,
 )
+from reference import permutation_expansion_det
 
 F = Fraction
 
@@ -79,6 +80,12 @@ def test_choose_p_vectors_q3_regular_and_cross_checked():
     n = len(matrix)
     swaps = (n // 2) % 2
     assert exact_det(list(reversed(matrix))) == (-1) ** swaps * system.det
+
+
+def test_choose_p_vectors_is_memoized():
+    first = choose_p_vectors(compositions(3))
+    assert choose_p_vectors(compositions(3)) is first
+    assert choose_p_vectors(compositions(3), 5) is not first
 
 
 def test_q2_determinant_against_permutation_expansion():

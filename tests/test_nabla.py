@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,33 @@ def test_nabla_matches_literal_enumeration():
             nab = nabla(u, q)
             for theta in all_state_descriptions(q, 2):
                 assert nab.eval_sd(theta) == literal_average(u, q, theta)
+
+
+def brute_force_components(upsilon: UpsilonMatrix, q: int, injective: bool):
+    """Oracle: components of the average of `row_pick_function` over every
+    ordered pick of q row positions, sorted by point."""
+    positions = range(1, upsilon.nu + 1)
+    picks = itertools.permutations(positions, q) if injective else itertools.product(positions, repeat=q)
+    gathered = Counter(row_pick_function(upsilon, pick).x.x for pick in picks)
+    total = sum(gathered.values())
+    return tuple((F(count, total), x) for x, count in sorted(gathered.items()))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_nabla_components_match_brute_force(seed):
+    rng = random.Random(seed)
+    nu = rng.randint(2, 5)
+    distinct = rng.randint(1, nu)
+    rows: dict[tuple[int, ...], int] = {}
+    while len(rows) < distinct:
+        rows[tuple(rng.randint(0, 1) for _ in range(nu))] = 1
+    for _ in range(nu - len(rows)):
+        rows[rng.choice(list(rows))] += 1
+    u = UpsilonMatrix(nu, tuple(rows.items()))
+    for q in (1, 2, 3):
+        assert nabla(u, q).components == brute_force_components(u, q, injective=False)
+        if q <= nu:
+            assert nabla_no_replacement(u, q).components == brute_force_components(u, q, injective=True)
 
 
 def test_nabla_no_replacement_two_by_two():

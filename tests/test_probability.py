@@ -16,6 +16,7 @@ from pureil.language import (
     apply_pred_perm,
     enumerate_atoms,
 )
+from pureil.nabla import UpsilonMatrix, nabla
 from pureil.probability import (
     MixtureFunction,
     ProductFunction,
@@ -124,6 +125,56 @@ def test_mixture_validation():
         MixtureFunction([(F(1, 2), good)])
     with pytest.raises(LevelMismatchError):
         MixtureFunction([(F(1, 2), good), (F(1, 2), ProductFunction(point(1, 0, 0, 0)))])
+
+
+def _random_point(rng: random.Random, q: int) -> SimplexPoint:
+    raw = [rng.randint(0, 4) for _ in range(2 ** q)]
+    raw[rng.randrange(2 ** q)] += 1
+    return SimplexPoint(q, tuple(F(v, sum(raw)) for v in raw))
+
+
+def _random_function(rng: random.Random, q: int, depth: int):
+    kind = rng.choice(["product", "symmetrized", "nabla", "mixture" if depth else "product"])
+    if kind == "product":
+        return ProductFunction(_random_point(rng, q))
+    if kind == "symmetrized":
+        return SymmetrizedFunction(_random_point(rng, q))
+    if kind == "nabla":
+        nu = rng.randint(1, 4)
+        rows = tuple((tuple(rng.randint(0, 1) for _ in range(nu)), 1) for _ in range(nu))
+        return nabla(UpsilonMatrix(nu, rows), q)
+    weights = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+    weights[0] += 1
+    return MixtureFunction(
+        [(F(w, sum(weights)), _random_function(rng, q, depth - 1)) for w in weights]
+    )
+
+
+def _part_sum(w, h: tuple[int, ...]) -> Fraction:
+    """Oracle: a mixture's value as the weighted sum of its parts' values."""
+    if isinstance(w, MixtureFunction):
+        return sum((weight * _part_sum(f, h) for weight, f in w.parts), start=F(0))
+    return w.eval_sd(StateDescription(w.q, h))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_flattened_mixture_equals_weighted_part_sum(seed):
+    rng = random.Random(seed)
+    q = rng.randint(1, 3)
+    mix = MixtureFunction(
+        [(F(1, 3), _random_function(rng, q, 2)), (F(2, 3), _random_function(rng, q, 2))]
+    )
+    assert mix._table is not None
+    for theta in all_state_descriptions(q, 3):
+        assert mix.eval_sd(theta) == _part_sum(mix, theta.h)
+
+
+def test_mixture_with_generic_part_keeps_the_generic_path():
+    low = restrict(ProductFunction(uniform_point(3)), 2)
+    mix = MixtureFunction([(F(1, 2), low), (F(1, 2), SymmetrizedFunction(point(0, 1, 0, 0)))])
+    assert mix._table is None
+    for theta in all_state_descriptions(2, 2):
+        assert mix.eval_sd(theta) == _part_sum(mix, theta.h)
 
 
 def test_eval_sentence_basics():

@@ -34,7 +34,7 @@ def test_parse_rational():
     assert parse_rational("0") == 0
     assert parse_rational("-3/4") == F(-3, 4)
     assert parse_rational(7) == 7
-    for bad in ["0.5", "1e3", "", "one", None, 1.5]:
+    for bad in ["0.5", "1e3", "", "one", None, 1.5, "1/0", "-3/0"]:
         with pytest.raises(PureILError):
             parse_rational(bad)
 
