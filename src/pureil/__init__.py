@@ -65,7 +65,6 @@ from .probability import (
     RestrictedFunction,
     SimplexPoint,
     SymmetrizedFunction,
-    product_function,
     restrict,
     symmetrized,
     uniform_point,

@@ -54,7 +54,7 @@ def _emit(payload: dict) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, parser: argparse.ArgumentParser) -> int:
     w = function_from_json(_load_document(args.f))
     phi = parse_formula(args.phi)
     constants = None
@@ -86,12 +86,12 @@ def _cmd_check(args, parser: argparse.ArgumentParser) -> int:
     return _emit(report_to_json(report))
 
 
-def _cmd_extend(args) -> int:
+def _cmd_extend(args, parser: argparse.ArgumentParser) -> int:
     C = AltNotation(args.q, tuple(parse_rational_list(args.C)))
     return _emit(certificate_to_json(extendable(C, args.r)))
 
 
-def _cmd_bernstein(args) -> int:
+def _cmd_bernstein(args, parser: argparse.ArgumentParser) -> int:
     rho = measure_from_json(_load_document(args.measure))
     return _emit(alt_to_json(bernstein(rho, args.q)))
 
@@ -152,11 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p_eval = commands.add_parser("eval", help="evaluate a function on a sentence")
+    p_eval.set_defaults(handler=_cmd_eval)
     p_eval.add_argument("--f", required=True, help="function descriptor (path or inline JSON)")
     p_eval.add_argument("--phi", required=True, help="quantifier-free formula")
     p_eval.add_argument("--constants", help="comma-separated constant window")
 
     p_check = commands.add_parser("check", help="run a principle checker")
+    p_check.set_defaults(handler=_cmd_check)
     p_check.add_argument(
         "--principle", required=True, choices=["px", "ex", "ip", "wip", "additivity"]
     )
@@ -166,41 +168,38 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--r", type=int, help="second predicate block size (wip)")
 
     p_extend = commands.add_parser("extend", help="level-extension feasibility certificate")
+    p_extend.set_defaults(handler=_cmd_extend)
     p_extend.add_argument("--C", required=True, help="comma-separated compressed vector")
     p_extend.add_argument("--q", required=True, type=int)
     p_extend.add_argument("--r", required=True, type=int)
 
     p_bern = commands.add_parser("bernstein", help="moment vector of a discrete measure")
+    p_bern.set_defaults(handler=_cmd_bernstein)
     p_bern.add_argument("--measure", required=True, help="measure document (path or inline)")
     p_bern.add_argument("--q", required=True, type=int)
 
     p_nabla = commands.add_parser("nabla", help="evaluate a row-sampling function")
+    p_nabla.set_defaults(handler=_cmd_nabla)
     p_nabla.add_argument("--upsilon", required=True, help="matrix document (path or inline)")
     p_nabla.add_argument("--q", required=True, type=int)
     p_nabla.add_argument("--eval", help="formula to evaluate")
     p_nabla.add_argument("--sd", help="state description as a JSON array of atom indices")
 
     p_dec = commands.add_parser("decompose", help="split into invariant parts")
+    p_dec.set_defaults(handler=_cmd_decompose)
     p_dec.add_argument("--c", help="comma-separated simplex point")
     p_dec.add_argument("--q", required=True, type=int)
     p_dec.add_argument("--verify-n", dest="verify_n", type=int, default=3)
     p_dec.add_argument("--f", help="mixture-of-symmetrized descriptor")
 
     p_marg = commands.add_parser("marginalize", help="evaluate a function at a lower level")
+    p_marg.set_defaults(handler=_cmd_marginalize)
     p_marg.add_argument("--f", required=True, help="function descriptor")
     p_marg.add_argument("--q", required=True, type=int, help="target level")
     p_marg.add_argument("--sd", help="level-q state description as a JSON array")
     p_marg.add_argument("--phi", help="level-q formula")
 
-    parser.set_defaults(_subparsers={
-        "eval": p_eval,
-        "check": p_check,
-        "extend": p_extend,
-        "bernstein": p_bern,
-        "nabla": p_nabla,
-        "decompose": p_dec,
-        "marginalize": p_marg,
-    })
+    parser.set_defaults(_commands=commands)
     return parser
 
 
@@ -221,7 +220,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     if not isinstance(config, dict):
         parser.error("config must be a JSON object of flag defaults")
     defaults = {key.replace("-", "_"): value for key, value in config.items()}
-    for sub in parser.get_default("_subparsers").values():
+    for sub in parser.get_default("_commands").choices.values():
         known = {action.dest for action in sub._actions}
         sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
         for action in sub._actions:
@@ -235,21 +234,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     argv = _apply_config(parser, argv)
     args = parser.parse_args(argv)
-    sub = args._subparsers[args.command]
     try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "check":
-            return _cmd_check(args, sub)
-        if args.command == "extend":
-            return _cmd_extend(args)
-        if args.command == "bernstein":
-            return _cmd_bernstein(args)
-        if args.command == "nabla":
-            return _cmd_nabla(args, sub)
-        if args.command == "decompose":
-            return _cmd_decompose(args, sub)
-        return _cmd_marginalize(args, sub)
+        return args.handler(args, args._commands.choices[args.command])
     except PureILError as err:
         payload = {"error": {"type": type(err).__name__, "message": str(err)}}
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import FormulaSyntaxError, PureILError
-from .language import StateDescription, enumerate_atoms
+from .language import StateDescription, matching_atoms
 
 
 @dataclass(frozen=True)
@@ -168,57 +168,68 @@ def print_formula(phi: QfFormula) -> str:
     return render(phi, 0)
 
 
-def mentioned_predicates(phi: QfFormula) -> set[int]:
+def mentioned_literals(phi: QfFormula) -> set[Lit]:
     if isinstance(phi, Lit):
-        return {phi.pred}
+        return {phi}
     if isinstance(phi, Not):
-        return mentioned_predicates(phi.arg)
-    return mentioned_predicates(phi.left) | mentioned_predicates(phi.right)
+        return mentioned_literals(phi.arg)
+    return mentioned_literals(phi.left) | mentioned_literals(phi.right)
 
 
-def mentioned_constants(phi: QfFormula) -> set[int]:
+def _holds(phi: QfFormula, signs: dict[tuple[int, int], int]) -> bool:
+    """Truth of phi when each literal (pred, const) carries the sign given."""
     if isinstance(phi, Lit):
-        return {phi.const}
+        return signs[phi.pred, phi.const] == 1
     if isinstance(phi, Not):
-        return mentioned_constants(phi.arg)
-    return mentioned_constants(phi.left) | mentioned_constants(phi.right)
-
-
-def _holds(phi: QfFormula, q: int, assignment: dict[int, tuple[int, ...]]) -> bool:
-    """Truth of phi when each constant carries the atom sign vector given."""
-    if isinstance(phi, Lit):
-        return assignment[phi.const][phi.pred - 1] == 1
-    if isinstance(phi, Not):
-        return not _holds(phi.arg, q, assignment)
+        return not _holds(phi.arg, signs)
     if isinstance(phi, And):
-        return _holds(phi.left, q, assignment) and _holds(phi.right, q, assignment)
+        return _holds(phi.left, signs) and _holds(phi.right, signs)
     if isinstance(phi, Or):
-        return _holds(phi.left, q, assignment) or _holds(phi.right, q, assignment)
-    return (not _holds(phi.left, q, assignment)) or _holds(phi.right, q, assignment)
+        return _holds(phi.left, signs) or _holds(phi.right, signs)
+    return (not _holds(phi.left, signs)) or _holds(phi.right, signs)
 
 
-def satisfying_descriptions(
-    phi: QfFormula, q: int, constants: list[int]
-) -> set[StateDescription]:
-    """All state descriptions over `constants` that satisfy phi.
+def satisfying_cells(phi: QfFormula, q: int, constants: list[int]):
+    """The models of phi over `constants`, as disjoint products of atom sets.
 
-    The description's j-th entry belongs to the j-th listed constant.
-    `constants` must cover every constant mentioned in phi, and every
-    mentioned predicate index must be <= q.
+    Per sign assignment to phi's distinct literals that makes phi true, yields
+    one cell per listed constant: the level-q atoms with that constant's
+    assigned signs.  `constants` must cover every constant mentioned in phi,
+    and every mentioned predicate index must be <= q.
     """
-    preds = mentioned_predicates(phi)
-    if preds and max(preds) > q:
-        raise PureILError(f"predicate index {max(preds)} exceeds language level {q}")
-    missing = mentioned_constants(phi) - set(constants)
+    mentioned = mentioned_literals(phi)
+    top = max(lit.pred for lit in mentioned)
+    if top > q:
+        raise PureILError(f"predicate index {top} exceeds language level {q}")
+    missing = {lit.const for lit in mentioned} - set(constants)
     if missing:
         raise PureILError(f"constants {sorted(missing)} mentioned but not in the window")
     if len(set(constants)) != len(constants):
         raise PureILError("constant window contains duplicates")
 
-    table = enumerate_atoms(q)
-    out: set[StateDescription] = set()
-    for h in itertools.product(range(1, 2 ** q + 1), repeat=len(constants)):
-        assignment = {c: table.atoms[a - 1] for c, a in zip(constants, h)}
-        if _holds(phi, q, assignment):
-            out.add(StateDescription(q, h))
-    return out
+    preds = [sorted(lit.pred for lit in mentioned if lit.const == c) for c in constants]
+    literals = [(p, c) for c, ps in zip(constants, preds) for p in ps]
+    # a constant's cell depends only on the signs of its own literals
+    options = [
+        [
+            (bits, matching_atoms(q, tuple(zip(ps, bits))))
+            for bits in itertools.product((0, 1), repeat=len(ps))
+        ]
+        for ps in preds
+    ]
+    for choice in itertools.product(*options):
+        signs = dict(zip(literals, itertools.chain.from_iterable(bits for bits, _ in choice)))
+        if _holds(phi, signs):
+            yield tuple(cell for _, cell in choice)
+
+
+def satisfying_descriptions(
+    phi: QfFormula, q: int, constants: list[int]
+) -> set[StateDescription]:
+    """All state descriptions over `constants` that satisfy phi, the
+    expansion of `satisfying_cells`; entry j belongs to the j-th constant."""
+    return {
+        StateDescription(q, h)
+        for cells in satisfying_cells(phi, q, constants)
+        for h in itertools.product(*cells)
+    }

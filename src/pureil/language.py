@@ -97,6 +97,16 @@ class StateDescription:
         return StateDescription(self.q, self.h + (atom_index,))
 
 
+def matching_atoms(q: int, signs) -> tuple[int, ...]:
+    """Indices of the level-q atoms with sign `bit` at every `(pred, bit)` in
+    `signs`, ascending; no pairs gives every atom."""
+    return tuple(
+        i
+        for i, eps in enumerate(enumerate_atoms(q).atoms, start=1)
+        if all(eps[pred - 1] == bit for pred, bit in signs)
+    )
+
+
 def all_state_descriptions(q: int, n: int):
     """All (2^q)^n state descriptions on n constants, lexicographic in h."""
     top = 2 ** q
@@ -118,12 +128,14 @@ class PredPermutation:
         if sorted(self.mapping) != list(range(1, self.q + 1)):
             raise PureILError(f"not a permutation of 1..{self.q}: {self.mapping}")
 
+    @lru_cache(maxsize=1024)
     def atom_map(self) -> tuple[int, ...]:
         """Induced map on atom indices: entry i-1 is the image of atom i.
 
         Predicate i's sign moves to predicate mapping[i-1], so the image of
         sign vector eps has eps'[sigma(i)-1] = eps[i-1].  Negation counts are
-        preserved.
+        preserved.  Memoized per (q, mapping): callers build fresh equal
+        permutations.
         """
         table = enumerate_atoms(self.q)
         images = []

@@ -32,6 +32,7 @@ from .language import (
     apply_const_perm,
     apply_pred_perm,
     enumerate_atoms,
+    matching_atoms,
 )
 
 DEFAULT_WORK_CAP = 5_000_000
@@ -139,24 +140,13 @@ def check_ip(w, n_max: int, work_cap: int = DEFAULT_WORK_CAP) -> CheckReport:
 
 
 def eval_partial(w, patterns) -> Fraction:
-    """Value of a partially described window: sum over all completions.
+    """Value of a partially described window: the probability that each
+    constant's atom carries its pattern's signs.
 
     `patterns` lists, per constant, the fixed (predicate, sign) pairs; the
     other predicates range freely.
     """
-    table = enumerate_atoms(w.q)
-    per_constant = []
-    for pattern in patterns:
-        compatible = [
-            i
-            for i, eps in enumerate(table.atoms, start=1)
-            if all(eps[pred - 1] == bit for pred, bit in pattern)
-        ]
-        per_constant.append(compatible)
-    total = Fraction(0)
-    for h in itertools.product(*per_constant):
-        total += w.eval_sd(StateDescription(w.q, h))
-    return total
+    return w.eval_cells([matching_atoms(w.q, pattern) for pattern in patterns])
 
 
 def check_wip(w, p: int, r: int, n_max: int, work_cap: int = DEFAULT_WORK_CAP) -> CheckReport:

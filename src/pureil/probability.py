@@ -11,7 +11,11 @@ value additively over the atoms.  Concrete classes:
   when every part is a mixture of products (product, symmetrized, row-sampling
   or such mixtures), it evaluates through one merged integer table;
 * ``RestrictedFunction`` -- a higher-level function marginalized down by
-  summing over atom refinements.
+  refining each atom into the cell of its higher-level atoms.
+
+Sentences, partial descriptions and restrictions all evaluate events "each
+constant's atom lies in its cell" (``eval_cells``): in closed form for a
+mixture of products, else by a sum capped at ``MAX_COMPLETIONS`` descriptions.
 
 All values are `fractions.Fraction`; evaluation is pure and memoized per
 instance (idempotent cache writes, safe under concurrent reads).
@@ -23,10 +27,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
-from .errors import LevelMismatchError, PureILError
-from .formulas import QfFormula, mentioned_constants, satisfying_descriptions
+from .errors import CapExceededError, LevelMismatchError, PureILError
+from .formulas import QfFormula, mentioned_literals, satisfying_cells
 from .language import (
     StateDescription,
     all_pred_permutations,
@@ -36,9 +40,8 @@ from .language import (
 ONE = Fraction(1)
 ZERO = Fraction(0)
 
-# Restriction enumerates 2^((r-q)*n) refinements per description.
-MAX_LEVEL_DROP = 8
-MAX_RESTRICT_CONSTANTS = 8
+# Descriptions a tableless event sum may visit (the checkers' work cap).
+MAX_COMPLETIONS = 5_000_000
 
 
 def _as_fraction_tuple(values) -> tuple[Fraction, ...]:
@@ -97,6 +100,16 @@ class ProbabilityFunction:
     def _eval(self, h: tuple[int, ...]) -> Fraction:
         raise NotImplementedError
 
+    def eval_cells(self, cells) -> Fraction:
+        """Probability that constant j's atom lies in the atom set cells[j],
+        for every j (a sequence of collections of level-q atom indices)."""
+        if self._table is not None:
+            return self._table.cells_value(cells)
+        count = prod(len(cell) for cell in cells)
+        if count > MAX_COMPLETIONS:
+            raise CapExceededError(f"event spans {count} descriptions, cap is {MAX_COMPLETIONS}")
+        return sum((self._value(h) for h in itertools.product(*cells)), start=ZERO)
+
     def eval_sentence(self, phi: QfFormula, constants=None) -> Fraction:
         """Sum of eval_sd over the satisfying descriptions of phi.
 
@@ -104,9 +117,9 @@ class ProbabilityFunction:
         does not change the value.
         """
         if constants is None:
-            constants = sorted(mentioned_constants(phi))
-        models = satisfying_descriptions(phi, self.q, list(constants))
-        return sum((self.eval_sd(theta) for theta in models), start=ZERO)
+            constants = sorted({lit.const for lit in mentioned_literals(phi)})
+        models = satisfying_cells(phi, self.q, list(constants))
+        return sum((self.eval_cells(cells) for cells in models), start=ZERO)
 
 
 class _ProductTable:
@@ -114,8 +127,8 @@ class _ProductTable:
 
     The value on an atom tuple h is sum_c weight_c * prod_{a in h} x_c[a],
     computed as an integer numerator over the fixed denominator
-    weight_den * entry_den^len(h) and reduced once at the end; restriction
-    sums these numerators over refinements.
+    weight_den * entry_den^len(h) and reduced once at the end; an event
+    replaces each x_c[a] by the sum of x_c over the constant's cell.
     """
 
     def __init__(self, scaled: tuple[tuple[int, tuple[int, ...]], ...], weight_den: int,
@@ -123,7 +136,6 @@ class _ProductTable:
         self.scaled = scaled
         self.weight_den = weight_den
         self.entry_den = entry_den
-        self._cache: dict[tuple[int, ...], int] = {}
 
     @classmethod
     def from_components(cls, components) -> "_ProductTable":
@@ -157,26 +169,28 @@ class _ProductTable:
                 merged[x] = merged.get(x, 0) + w * w_scale
         return cls(tuple((w, x) for x, w in merged.items()), weight_den, entry_den)
 
-    def numerator(self, h: tuple[int, ...]) -> int:
-        """Numerator of the value over `denominator(len(h))`, memoized."""
-        total = self._cache.get(h)
-        if total is None:
-            total = 0
-            for weight, x in self.scaled:
-                term = weight
-                for a in h:
-                    term *= x[a - 1]
-                    if not term:
-                        break
-                total += term
-            self._cache[h] = total
-        return total
-
-    def denominator(self, n: int) -> int:
-        return self.weight_den * self.entry_den ** n
-
     def value(self, h: tuple[int, ...]) -> Fraction:
-        return Fraction(self.numerator(h), self.weight_den * self.entry_den ** len(h))
+        total = 0
+        for weight, x in self.scaled:
+            term = weight
+            for a in h:
+                term *= x[a - 1]
+                if not term:
+                    break
+            total += term
+        return Fraction(total, self.weight_den * self.entry_den ** len(h))
+
+    def cells_value(self, cells) -> Fraction:
+        """Value of the event "constant j's atom lies in cells[j]", every j."""
+        total = 0
+        for weight, x in self.scaled:
+            term = weight
+            for cell in cells:
+                term *= sum([x[a - 1] for a in cell])
+                if not term:
+                    break
+            total += term
+        return Fraction(total, self.weight_den * self.entry_den ** len(cells))
 
 
 class _ConvexOfProducts(ProbabilityFunction):
@@ -253,42 +267,23 @@ class MixtureFunction(ProbabilityFunction):
 
 
 class RestrictedFunction(ProbabilityFunction):
-    """A level-r function viewed at level q < r via refinement sums."""
+    """A level-r function viewed at level q < r via cells of refinements."""
 
     tag = "restricted"
 
     def __init__(self, base: ProbabilityFunction, q: int):
         if q > base.q:
             raise PureILError(f"cannot restrict level {base.q} up to level {q}")
-        if base.q - q > MAX_LEVEL_DROP:
-            raise PureILError(f"level drop {base.q - q} exceeds cap {MAX_LEVEL_DROP}")
         super().__init__(q)
         self.base = base
         self._refine = refinement_indices(q, base.q)
 
+    def eval_cells(self, cells) -> Fraction:
+        refine = self._refine
+        return self.base.eval_cells([[b for a in cell for b in refine[a - 1]] for cell in cells])
+
     def _eval(self, h: tuple[int, ...]) -> Fraction:
-        if len(h) > MAX_RESTRICT_CONSTANTS:
-            raise PureILError(
-                f"restriction evaluates {len(h)} constants, cap is {MAX_RESTRICT_CONSTANTS}"
-            )
-        refinements = itertools.product(*(self._refine[a - 1] for a in h))
-        table = self.base._table
-        if table is not None:
-            # all refined tuples share one denominator: sum plain integers
-            numerator = table.numerator
-            return Fraction(
-                sum(numerator(refined) for refined in refinements),
-                table.denominator(len(h)),
-            )
-        total = ZERO
-        base_value = self.base._value
-        for refined in refinements:
-            total += base_value(refined)
-        return total
-
-
-def product_function(x: SimplexPoint) -> ProductFunction:
-    return ProductFunction(x)
+        return self.base.eval_cells([self._refine[a - 1] for a in h])
 
 
 def symmetrized(c: SimplexPoint) -> SymmetrizedFunction:

@@ -60,6 +60,13 @@ def test_eval_predicate_out_of_range(capsys):
     assert json.loads(out)["error"]["type"] == "PureILError"
 
 
+def test_eval_widest_language_three_constants(capsys):
+    uniform = json.dumps({"class": "product", "q": 12, "x": ["1/4096"] * 4096})
+    code, out = run(capsys, "eval", "--f", uniform, "--phi", "P1(a1) & P12(a2) | P3(a3)")
+    assert code == 0
+    assert out == '{"value": "5/8"}\n'
+
+
 def test_eval_bad_document(capsys):
     code, out = run(capsys, "eval", "--f", '{"class":"product"}', "--phi", "P1(a1)")
     assert code == 1

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from pureil.errors import LevelMismatchError, PureILError
-from pureil.formulas import parse_formula
+from pureil import probability
+from pureil.errors import CapExceededError, LevelMismatchError, PureILError
+from pureil.formulas import And, Implies, Lit, Not, Or, parse_formula
 from pureil.language import (
     StateDescription,
     all_pred_permutations,
@@ -17,13 +18,20 @@ from pureil.language import (
     enumerate_atoms,
 )
 from pureil.nabla import UpsilonMatrix, nabla
+from pureil.principles import eval_partial
 from pureil.probability import (
     MixtureFunction,
+    ProbabilityFunction,
     ProductFunction,
     SimplexPoint,
     SymmetrizedFunction,
     restrict,
     uniform_point,
+)
+from reference import (
+    completion_eval_partial,
+    refinement_restriction,
+    sentence_by_descriptions,
 )
 
 F = Fraction
@@ -175,6 +183,135 @@ def test_mixture_with_generic_part_keeps_the_generic_path():
     assert mix._table is None
     for theta in all_state_descriptions(2, 2):
         assert mix.eval_sd(theta) == _part_sum(mix, theta.h)
+
+
+def _oracle_functions(rng: random.Random, q: int) -> list:
+    """A random product mixture, a restriction of one, and a tableless
+    mixture with a restricted part, all at level q."""
+    lifted = restrict(_random_function(rng, q + 1, 1), q)
+    return [
+        _random_function(rng, q, 2),
+        lifted,
+        MixtureFunction([(F(1, 2), lifted), (F(1, 2), _random_function(rng, q, 1))]),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_restriction_matches_refinement_sum(seed):
+    rng = random.Random(seed)
+    r = rng.randint(2, 4)
+    w = _random_function(rng, r, 2)
+    for q in range(1, r):
+        low = restrict(w, q)
+        for n in range(3):
+            for theta in all_state_descriptions(q, n):
+                assert low.eval_sd(theta) == refinement_restriction(w, q, theta.h)
+    twice = restrict(restrict(w, r - 1), 1)
+    for theta in all_state_descriptions(1, 3):
+        assert twice.eval_sd(theta) == refinement_restriction(w, 1, theta.h)
+
+
+def _random_sentence(rng: random.Random, q: int, constants: list[int], depth: int):
+    if depth == 0 or rng.random() < 0.3:
+        return Lit(rng.randint(1, q), rng.choice(constants))
+    kind = rng.choice([Not, And, Or, Implies])
+    if kind is Not:
+        return Not(_random_sentence(rng, q, constants, depth - 1))
+    return kind(
+        _random_sentence(rng, q, constants, depth - 1),
+        _random_sentence(rng, q, constants, depth - 1),
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sentence_matches_model_sum(seed):
+    rng = random.Random(100 + seed)
+    q = rng.randint(1, 3)
+    for w in _oracle_functions(rng, q):
+        for _ in range(5):
+            first, second = sorted(rng.sample(range(1, 5), 2))
+            phi = _random_sentence(rng, q, [first, second], 3)
+            # wider than the constants phi mentions, and out of order
+            window = [second, 5, first]
+            expected = sentence_by_descriptions(w, phi, window)
+            assert w.eval_sentence(phi, window) == expected
+            assert w.eval_sentence(phi) == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eval_partial_matches_completion_sum(seed):
+    rng = random.Random(200 + seed)
+    q = rng.randint(2, 3)
+    for w in _oracle_functions(rng, q):
+        for _ in range(6):
+            patterns = tuple(
+                tuple(
+                    (pred, rng.randint(0, 1))
+                    for pred in sorted(rng.sample(range(1, q + 1), rng.randint(0, q)))
+                )
+                for _ in range(rng.randint(1, 3))
+            )
+            assert eval_partial(w, patterns) == completion_eval_partial(w, patterns)
+
+
+def _first_predicate_marginal(x: SimplexPoint) -> SimplexPoint:
+    atoms = enumerate_atoms(x.q).atoms
+    return SimplexPoint(
+        1, tuple(sum(v for v, eps in zip(x.x, atoms) if eps[0] == bit) for bit in (1, 0))
+    )
+
+
+def test_restriction_past_former_caps_matches_marginal_point():
+    # a level drop of 9 on 10 constants: 2^90 refinements per description
+    rng = random.Random(41)
+    points = []
+    for _ in range(2):
+        raw = [rng.randint(1, 5) for _ in range(2 ** 10)]
+        points.append(SimplexPoint(10, tuple(F(v, sum(raw)) for v in raw)))
+    weights = (F(1, 3), F(2, 3))
+    w = MixtureFunction([(wt, ProductFunction(x)) for wt, x in zip(weights, points)])
+    closed = MixtureFunction(
+        [(wt, ProductFunction(_first_predicate_marginal(x))) for wt, x in zip(weights, points)]
+    )
+    low, tower = restrict(w, 1), restrict(restrict(w, 6), 1)
+    for _ in range(5):
+        theta = StateDescription(1, tuple(rng.randint(1, 2) for _ in range(10)))
+        assert low.eval_sd(theta) == tower.eval_sd(theta) == closed.eval_sd(theta)
+
+
+class _CountingUniform(ProbabilityFunction):
+    """Tableless uniform function that counts its evaluations."""
+
+    tag = "counting"
+
+    def __init__(self, q: int):
+        super().__init__(q)
+        self.calls = 0
+
+    def _eval(self, h):
+        self.calls += 1
+        return F(1, 2 ** (self.q * len(h)))
+
+
+def test_generic_path_refuses_before_evaluating():
+    w = _CountingUniform(12)
+    with pytest.raises(CapExceededError):
+        w.eval_sentence(parse_formula("P1(a1) | P2(a2) | P3(a3)"))
+    with pytest.raises(CapExceededError):
+        restrict(w, 1).eval_sd(StateDescription(1, (1, 1, 1)))
+    with pytest.raises(CapExceededError):
+        w.eval_cells([range(1, 4097)] * 2)
+    assert w.calls == 0
+
+
+def test_generic_path_cap_is_on_the_description_count(monkeypatch):
+    monkeypatch.setattr(probability, "MAX_COMPLETIONS", 16)
+    w = _CountingUniform(2)
+    assert w.eval_cells([range(1, 5)] * 2) == 1
+    assert w.calls == 16
+    with pytest.raises(CapExceededError):
+        w.eval_cells([range(1, 5)] * 3)
+    assert w.calls == 16
 
 
 def test_eval_sentence_basics():
