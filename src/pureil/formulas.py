@@ -16,8 +16,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import FormulaSyntaxError, PureILError
+from .errors import CapExceededError, FormulaSyntaxError, PureILError
 from .language import StateDescription, matching_atoms
+
+# sign assignments `satisfying_cells` may enumerate: 2^L for L distinct
+# literals, so at most 20 literals
+MAX_SIGN_ASSIGNMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -195,7 +199,9 @@ def satisfying_cells(phi: QfFormula, q: int, constants: list[int]):
     Per sign assignment to phi's distinct literals that makes phi true, yields
     one cell per listed constant: the level-q atoms with that constant's
     assigned signs.  `constants` must cover every constant mentioned in phi,
-    and every mentioned predicate index must be <= q.
+    and every mentioned predicate index must be <= q.  Raises
+    `CapExceededError` before evaluating phi when the assignments number more
+    than `MAX_SIGN_ASSIGNMENTS`.
     """
     mentioned = mentioned_literals(phi)
     top = max(lit.pred for lit in mentioned)
@@ -206,6 +212,11 @@ def satisfying_cells(phi: QfFormula, q: int, constants: list[int]):
         raise PureILError(f"constants {sorted(missing)} mentioned but not in the window")
     if len(set(constants)) != len(constants):
         raise PureILError("constant window contains duplicates")
+    if 2 ** len(mentioned) > MAX_SIGN_ASSIGNMENTS:
+        raise CapExceededError(
+            f"{len(mentioned)} distinct literals give 2^{len(mentioned)} sign assignments, "
+            f"cap is {MAX_SIGN_ASSIGNMENTS}"
+        )
 
     preds = [sorted(lit.pred for lit in mentioned if lit.const == c) for c in constants]
     literals = [(p, c) for c, ps in zip(constants, preds) for p in ps]

@@ -67,6 +67,18 @@ def test_eval_widest_language_three_constants(capsys):
     assert out == '{"value": "5/8"}\n'
 
 
+def test_eval_many_literals(capsys):
+    disjunction = " | ".join(f"P1(a{i})" for i in range(1, 17))
+    code, out = run(capsys, "eval", "--f", FAIR_PRODUCT, "--phi", disjunction)
+    assert code == 0
+    assert out == '{"value": "65535/65536"}\n'
+    # 2^26 sign assignments are refused before any is evaluated
+    disjunction = " | ".join(f"P1(a{i})" for i in range(1, 27))
+    code, out = run(capsys, "eval", "--f", FAIR_PRODUCT, "--phi", disjunction)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "CapExceededError"
+
+
 def test_eval_bad_document(capsys):
     code, out = run(capsys, "eval", "--f", '{"class":"product"}', "--phi", "P1(a1)")
     assert code == 1

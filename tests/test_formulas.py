@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from pureil.errors import FormulaSyntaxError, PureILError
+from pureil import formulas
+from pureil.errors import CapExceededError, FormulaSyntaxError, PureILError
 from pureil.formulas import (
     And,
     Implies,
@@ -14,6 +15,7 @@ from pureil.formulas import (
     Or,
     parse_formula,
     print_formula,
+    satisfying_cells,
     satisfying_descriptions,
 )
 from pureil.language import StateDescription
@@ -112,6 +114,28 @@ def test_satisfying_errors():
         satisfying_descriptions(parse_formula("P3(a1)"), 2, [1])
     with pytest.raises(PureILError):
         satisfying_descriptions(parse_formula("P1(a2)"), 1, [1])
+
+
+def test_sign_assignment_cap_boundary(monkeypatch):
+    monkeypatch.setattr(formulas, "MAX_SIGN_ASSIGNMENTS", 8)
+    holds = formulas._holds
+    calls = []
+
+    def counting_holds(phi, signs):
+        calls.append(phi)
+        return holds(phi, signs)
+
+    monkeypatch.setattr(formulas, "_holds", counting_holds)
+    # three distinct literals (P1(a1) twice) give exactly 8 assignments
+    phi = parse_formula("P1(a1) | (P2(a1) & !P1(a2)) | !P1(a1)")
+    assert len(list(satisfying_cells(phi, 2, [1, 2]))) == 8
+    calls.clear()
+    phi = parse_formula("P1(a1) | P2(a1) | P1(a2) | P2(a2)")
+    with pytest.raises(CapExceededError):
+        list(satisfying_cells(phi, 2, [1, 2]))
+    with pytest.raises(CapExceededError):
+        satisfying_descriptions(phi, 2, [1, 2, 3])
+    assert calls == []
 
 
 def test_oracle_truth_table_agreement():
