@@ -45,9 +45,7 @@ from .nabla import (
     build_upsilon,
     compositions,
     nabla,
-    nabla_expansion,
     nabla_no_replacement,
-    row_pick_function,
 )
 from .principles import (
     CheckReport,

@@ -15,7 +15,8 @@ The recipe:
 
 The scale lambda depends only on q (through the fixed p-vectors), never
 on c.  Every decomposition is re-verified on a grid of state descriptions
-before being returned; failure to verify is an internal error.
+before being returned (the dense integer vectors of both sides, up to
+verify_n constants); failure to verify is an internal error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .errors import PureILError
 from .linalg import exact_inverse_row
@@ -42,7 +43,7 @@ from .probability import (
     SimplexPoint,
     SymmetrizedFunction,
 )
-from .language import all_state_descriptions
+from .language import description_at
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -125,15 +126,28 @@ def _common_scale(c: SimplexPoint, p_vectors) -> int:
 
 
 def _verify_identity(target, lam, w1, w2, verify_n: int, q: int):
+    """target == (1 + lam) * w1 - lam * w2 on every description with up to
+    verify_n constants, compared as cross-multiplied integer numerators."""
+    ln, ld = lam.numerator, lam.denominator
     for n in range(verify_n + 1):
-        for theta in all_state_descriptions(q, n):
-            lhs = target.eval_sd(theta)
-            rhs = (1 + lam) * w1.eval_sd(theta) - lam * w2.eval_sd(theta)
-            if lhs != rhs:
-                raise PureILError(
-                    "internal error: decomposition identity fails at "
-                    f"{theta.h}: {lhs} != {rhs}"
-                )
+        t_vals, t_den = target.dense(n)
+        a_vals, a_den = w1.dense(n)
+        b_vals, b_den = (a_vals, a_den) if w2 is w1 else w2.dense(n)
+        # t / t_den == (ld + ln) / ld * a / a_den - ln / ld * b / b_den,
+        # times ld * t_den * a_den * b_den
+        scales = (ld * a_den * b_den, (ld + ln) * t_den * b_den, ln * t_den * a_den)
+        g = gcd(*scales)
+        t_scale, a_scale, b_scale = (s // g for s in scales)
+        lhs = [v * t_scale for v in t_vals]
+        rhs = [a * a_scale - b * b_scale for a, b in zip(a_vals, b_vals)]
+        if lhs != rhs:
+            i = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+            left = Fraction(t_vals[i], t_den)
+            right = (1 + lam) * Fraction(a_vals[i], a_den) - lam * Fraction(b_vals[i], b_den)
+            raise PureILError(
+                "internal error: decomposition identity fails at "
+                f"{description_at(q, n, i)}: {left} != {right}"
+            )
 
 
 def decompose_y(c: SimplexPoint, verify_n: int = 3,

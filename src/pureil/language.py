@@ -114,6 +114,17 @@ def all_state_descriptions(q: int, n: int):
         yield StateDescription(q, h)
 
 
+def description_at(q: int, n: int, index: int) -> tuple[int, ...]:
+    """Atoms h of the description at 0-based `index` in
+    all_state_descriptions(q, n): the base-2^q digits of index, plus one."""
+    top = 2 ** q
+    digits = []
+    for _ in range(n):
+        index, d = divmod(index, top)
+        digits.append(d + 1)
+    return tuple(reversed(digits))
+
+
 @dataclass(frozen=True)
 class PredPermutation:
     """A bijection on predicate indices {1..q}, one-line notation.

@@ -23,13 +23,7 @@ from math import factorial, perm, prod
 
 from .errors import CapExceededError, PureILError
 from .language import enumerate_atoms
-from .probability import (
-    MixtureFunction,
-    ProductFunction,
-    SimplexPoint,
-    SymmetrizedFunction,
-    _ConvexOfProducts,
-)
+from .probability import SimplexPoint, _ConvexOfProducts
 
 MAX_COMPOSITION_PREDICATES = 5
 # ordered row-type picks enumerated when building an averaged function
@@ -143,27 +137,6 @@ def build_upsilon(phi: PhiMatrix, p: FrequencyVector, nu: int) -> UpsilonMatrix:
     return UpsilonMatrix(nu, tuple(rows))
 
 
-def _column_point(rows: tuple[BitRow, ...], q: int, nu: int) -> SimplexPoint:
-    """Atom frequencies of the q x nu matrix with the given rows."""
-    table = enumerate_atoms(q)
-    counts = [0] * 2 ** q
-    for j in range(nu):
-        eps = tuple(rows[k][j] for k in range(q))
-        counts[table.index_of(eps) - 1] += 1
-    return SimplexPoint(q, tuple(Fraction(c, nu) for c in counts))
-
-
-def row_pick_function(upsilon: UpsilonMatrix, picks):
-    """Product function of the matrix made of the picked rows (by position,
-    1-based, repeats allowed)."""
-    by_position = upsilon.positions()
-    for pick in picks:
-        if not 1 <= pick <= upsilon.nu:
-            raise PureILError(f"row position {pick} out of range 1..{upsilon.nu}")
-    rows = tuple(by_position[pick - 1] for pick in picks)
-    return ProductFunction(_column_point(rows, len(rows), upsilon.nu))
-
-
 def _averaged(upsilon: UpsilonMatrix, q: int, type_weights, total: int) -> NablaFunction:
     """Collapse weighted ordered row-type picks into one convex combination.
 
@@ -266,31 +239,3 @@ def multinomial(n: tuple[int, ...]) -> int:
         out //= factorial(v)
     return out
 
-
-def nabla_expansion(c: SimplexPoint, p: FrequencyVector, nu: int) -> MixtureFunction:
-    """The averaged function written as a mixture of symmetrized functions.
-
-    Picking row i of the c-matrix n_i times contributes the symmetrization of
-    the picked columns' frequencies, weighted by the multinomial count of the
-    arrangements times prod p_i^{n_i}.  Pointwise equal to
-    nabla(build_upsilon(build_phi(c, nu), p, nu), c.q).
-    """
-    q = c.q
-    phi = build_phi(c, nu)
-    if len(p.p) != q:
-        raise PureILError(f"need {q} frequencies, got {len(p.p)}")
-    for i, freq in enumerate(p.p):
-        if (freq * nu).denominator != 1:
-            raise PureILError(f"frequency {i + 1} gives non-integral count at nu = {nu}")
-    parts = []
-    for n in compositions(q).elements:
-        weight = Fraction(multinomial(n))
-        for freq, count in zip(p.p, n):
-            weight *= freq ** count
-        if weight == 0:
-            continue
-        rows = tuple(
-            phi.rows[i] for i, count in enumerate(n) for _ in range(count)
-        )
-        parts.append((weight, SymmetrizedFunction(_column_point(rows, q, nu))))
-    return MixtureFunction(parts)

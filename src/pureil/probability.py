@@ -13,9 +13,21 @@ value additively over the atoms.  Concrete classes:
 * ``RestrictedFunction`` -- a higher-level function marginalized down by
   refining each atom into the cell of its higher-level atoms.
 
-Sentences, partial descriptions and restrictions all evaluate events "each
-constant's atom lies in its cell" (``eval_cells``): in closed form for a
-mixture of products, else by a sum capped at ``MAX_COMPLETIONS`` descriptions.
+A mixture of products is evaluated through one integer table (weights and
+points over two common denominators).  Restriction by marginal tables: the
+marginal of a product function is a product function, so the restriction of
+a table-backed function gets the table whose points are the base's points
+summed over each cell of ``refinement_indices``, equal points merged.  Every
+function the library builds, restrictions and mixtures with restricted parts
+among them, therefore evaluates in integers.
+
+Sentences and partial descriptions evaluate events "each constant's atom
+lies in its cell" (``eval_cells``): in closed form on a table, else by a sum
+capped at ``MAX_COMPLETIONS`` descriptions (only tableless functions, such as
+user-defined subclasses or restrictions of them, take that path).  ``dense(n)``
+gives the integer numerators of all (2^q)^n state descriptions at once, over
+one common denominator, for the exhaustive sweeps of the checkers and of the
+decomposition's verification grid.
 
 All values are `fractions.Fraction`; evaluation is pure and memoized per
 instance (idempotent cache writes, safe under concurrent reads).
@@ -28,6 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
+from operator import add
 
 from .errors import CapExceededError, LevelMismatchError, PureILError
 from .formulas import QfFormula, mentioned_literals, satisfying_cells
@@ -110,6 +123,24 @@ class ProbabilityFunction:
             raise CapExceededError(f"event spans {count} descriptions, cap is {MAX_COMPLETIONS}")
         return sum((self._value(h) for h in itertools.product(*cells)), start=ZERO)
 
+    def dense(self, n: int) -> tuple[list[int], int]:
+        """Integer numerators of the values on all (2^q)^n state descriptions
+        on n constants, lexicographic in h, and their common denominator.
+
+        A table gives them as outer products over weight_den * entry_den^n;
+        a tableless function fills the same vector through `_value`.  The
+        vector is as long as the sweep it serves, so callers check their work
+        cap first.
+        """
+        if n == 0:
+            return [1], 1
+        if self._table is not None:
+            table = self._table
+            return table.dense(n), table.weight_den * table.entry_den ** n
+        values = [self._value(h) for h in itertools.product(range(1, 2 ** self.q + 1), repeat=n)]
+        den = lcm(*(v.denominator for v in values))
+        return [v.numerator * (den // v.denominator) for v in values], den
+
     def eval_sentence(self, phi: QfFormula, constants=None) -> Fraction:
         """Sum of eval_sd over the satisfying descriptions of phi.
 
@@ -169,6 +200,16 @@ class _ProductTable:
                 merged[x] = merged.get(x, 0) + w * w_scale
         return cls(tuple((w, x) for x, w in merged.items()), weight_den, entry_den)
 
+    def marginal(self, refine) -> "_ProductTable":
+        """The table of the restriction whose level-q atom i refines into the
+        cell refine[i-1]: each point summed over every cell, equal points
+        merged."""
+        merged: dict[tuple[int, ...], int] = {}
+        for weight, x in self.scaled:
+            point = tuple(sum([x[b - 1] for b in cell]) for cell in refine)
+            merged[point] = merged.get(point, 0) + weight
+        return _ProductTable(tuple((w, x) for x, w in merged.items()), self.weight_den, self.entry_den)
+
     def value(self, h: tuple[int, ...]) -> Fraction:
         total = 0
         for weight, x in self.scaled:
@@ -191,6 +232,18 @@ class _ProductTable:
                     break
             total += term
         return Fraction(total, self.weight_den * self.entry_den ** len(cells))
+
+    def dense(self, n: int) -> list[int]:
+        """Numerators over weight_den * entry_den^n of the values on all
+        (2^q)^n atom tuples, lexicographic: one outer product per constant per
+        component."""
+        total = None
+        for weight, x in self.scaled:
+            vec = [weight]
+            for _ in range(n):
+                vec = [v * a for v in vec for a in x]
+            total = vec if total is None else list(map(add, total, vec))
+        return total
 
 
 class _ConvexOfProducts(ProbabilityFunction):
@@ -267,7 +320,10 @@ class MixtureFunction(ProbabilityFunction):
 
 
 class RestrictedFunction(ProbabilityFunction):
-    """A level-r function viewed at level q < r via cells of refinements."""
+    """A level-r function viewed at level q < r via cells of refinements.
+
+    A base with a table gives the marginal table; a tableless base is asked
+    for the refined event instead."""
 
     tag = "restricted"
 
@@ -277,12 +333,18 @@ class RestrictedFunction(ProbabilityFunction):
         super().__init__(q)
         self.base = base
         self._refine = refinement_indices(q, base.q)
+        if base._table is not None:
+            self._table = base._table.marginal(self._refine)
 
     def eval_cells(self, cells) -> Fraction:
+        if self._table is not None:
+            return self._table.cells_value(cells)
         refine = self._refine
         return self.base.eval_cells([[b for a in cell for b in refine[a - 1]] for cell in cells])
 
     def _eval(self, h: tuple[int, ...]) -> Fraction:
+        if self._table is not None:
+            return self._table.value(h)
         return self.base.eval_cells([self._refine[a - 1] for a in h])
 
 

@@ -4,10 +4,33 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 from pureil.errors import PureILError
 from pureil.formulas import satisfying_descriptions
-from pureil.language import StateDescription, enumerate_atoms
+from pureil.language import (
+    StateDescription,
+    all_pred_permutations,
+    all_state_descriptions,
+    apply_const_perm,
+    apply_pred_perm,
+    enumerate_atoms,
+)
+from pureil.nabla import (
+    FrequencyVector,
+    UpsilonMatrix,
+    build_phi,
+    compositions,
+    multinomial,
+)
+from pureil.principles import DEFAULT_WORK_CAP, CheckReport, Witness, _guard, _report
+from pureil.probability import (
+    MixtureFunction,
+    ProbabilityFunction,
+    ProductFunction,
+    SimplexPoint,
+    SymmetrizedFunction,
+)
 
 
 def permutation_expansion_det(matrix) -> Fraction:
@@ -348,3 +371,185 @@ def fraction_phase1_simplex(matrix, C, r):
     # dual prices off the artificial columns certify infeasibility
     y = [z[unknowns + t] for t in range(nrows)]
     return "infeasible", tuple(flips[i] * y[i] for i in range(nrows))
+
+
+class Tableless(ProbabilityFunction):
+    """The values of `base` with no integer table, so every evaluation takes
+    the generic path through `_eval`, which counts its calls.  Raised by
+    1/1000 on the descriptions in `nudged`, it breaks an identity exactly
+    where wanted."""
+
+    tag = "tableless"
+
+    def __init__(self, base, nudged=()):
+        super().__init__(base.q)
+        self.base = base
+        self.nudged = nudged
+        self.calls = 0
+
+    def _eval(self, h):
+        self.calls += 1
+        value = self.base.eval_sd(StateDescription(self.q, h))
+        return value + Fraction(1, 1000) if h in self.nudged else value
+
+
+# The checker sweeps and the decomposition's verification grid one
+# description at a time, evaluating each value through `eval_sd`, in the
+# canonical order (constant count, descriptions, permutations).
+
+def sweep_px(w, n_max: int, work_cap: int = DEFAULT_WORK_CAP) -> CheckReport:
+    """Predicate exchangeability on all descriptions with up to n_max constants."""
+    if n_max < 1:
+        raise PureILError("bound must be at least 1")
+    q = w.q
+    units = factorial(q) * sum((2 ** q) ** n for n in range(1, n_max + 1))
+    _guard("Px", units, work_cap)
+    for n in range(1, n_max + 1):
+        for theta in all_state_descriptions(q, n):
+            value = w.eval_sd(theta)
+            for sigma in all_pred_permutations(q):
+                moved = w.eval_sd(apply_pred_perm(sigma, theta))
+                if moved != value:
+                    witness = Witness(
+                        (("theta", theta.h), ("sigma", sigma.mapping)),
+                        value,
+                        moved,
+                    )
+                    return _report("Px", n_max, witness)
+    return _report("Px", n_max, None)
+
+
+def sweep_ex(w, n_max: int, work_cap: int = DEFAULT_WORK_CAP) -> CheckReport:
+    """Constant exchangeability on all descriptions with up to n_max constants."""
+    if n_max < 1:
+        raise PureILError("bound must be at least 1")
+    q = w.q
+    units = sum((2 ** q) ** n * factorial(n) for n in range(1, n_max + 1))
+    _guard("Ex", units, work_cap)
+    for n in range(1, n_max + 1):
+        for theta in all_state_descriptions(q, n):
+            value = w.eval_sd(theta)
+            for images in itertools.permutations(range(1, n + 1)):
+                moved = w.eval_sd(apply_const_perm(images, theta))
+                if moved != value:
+                    witness = Witness(
+                        (("theta", theta.h), ("tau", images)), value, moved
+                    )
+                    return _report("Ex", n_max, witness)
+    return _report("Ex", n_max, None)
+
+
+def sweep_ip(w, n_max: int, work_cap: int = DEFAULT_WORK_CAP) -> CheckReport:
+    """Factorization over all description pairs on disjoint constant blocks
+    with total length up to n_max."""
+    if n_max < 2:
+        raise PureILError("bound must be at least 2 for a pair")
+    q = w.q
+    units = sum(
+        (2 ** q) ** total * (total - 1) for total in range(2, n_max + 1)
+    )
+    _guard("IP", units, work_cap)
+    for total in range(2, n_max + 1):
+        for m in range(1, total):
+            n = total - m
+            for theta in all_state_descriptions(q, m):
+                left = w.eval_sd(theta)
+                for phi in all_state_descriptions(q, n):
+                    joint = w.eval_sd(StateDescription(q, theta.h + phi.h))
+                    split = left * w.eval_sd(phi)
+                    if joint != split:
+                        witness = Witness(
+                            (("theta", theta.h), ("phi", phi.h)), joint, split
+                        )
+                        return _report("IP", n_max, witness)
+    return _report("IP", n_max, None)
+
+
+def sweep_additivity(w, n_max: int, work_cap: int = DEFAULT_WORK_CAP) -> CheckReport:
+    """Extending any description by one constant splits its value exactly.
+
+    The base case (no constants) asserts the single-constant values sum to 1.
+    """
+    if n_max < 1:
+        raise PureILError("bound must be at least 1")
+    q = w.q
+    units = sum((2 ** q) ** (n + 1) for n in range(n_max))
+    _guard("Additivity", units, work_cap)
+    top = 2 ** q
+    for n in range(n_max):
+        for theta in all_state_descriptions(q, n):
+            value = w.eval_sd(theta)
+            refined = sum(
+                (w.eval_sd(theta.extend(a)) for a in range(1, top + 1)),
+                start=Fraction(0),
+            )
+            if refined != value:
+                witness = Witness((("theta", theta.h),), refined, value)
+                return _report("Additivity", n_max, witness)
+    return _report("Additivity", n_max, None)
+
+
+def grid_verify_identity(target, lam, w1, w2, verify_n: int, q: int):
+    for n in range(verify_n + 1):
+        for theta in all_state_descriptions(q, n):
+            lhs = target.eval_sd(theta)
+            rhs = (1 + lam) * w1.eval_sd(theta) - lam * w2.eval_sd(theta)
+            if lhs != rhs:
+                raise PureILError(
+                    "internal error: decomposition identity fails at "
+                    f"{theta.h}: {lhs} != {rhs}"
+                )
+
+
+
+# Builders the library no longer needs: the row-pick product function and the
+# expansion of an averaged function into symmetrized ones.
+
+def _column_point(rows: tuple[BitRow, ...], q: int, nu: int) -> SimplexPoint:
+    """Atom frequencies of the q x nu matrix with the given rows."""
+    table = enumerate_atoms(q)
+    counts = [0] * 2 ** q
+    for j in range(nu):
+        eps = tuple(rows[k][j] for k in range(q))
+        counts[table.index_of(eps) - 1] += 1
+    return SimplexPoint(q, tuple(Fraction(c, nu) for c in counts))
+
+
+def row_pick_function(upsilon: UpsilonMatrix, picks):
+    """Product function of the matrix made of the picked rows (by position,
+    1-based, repeats allowed)."""
+    by_position = upsilon.positions()
+    for pick in picks:
+        if not 1 <= pick <= upsilon.nu:
+            raise PureILError(f"row position {pick} out of range 1..{upsilon.nu}")
+    rows = tuple(by_position[pick - 1] for pick in picks)
+    return ProductFunction(_column_point(rows, len(rows), upsilon.nu))
+
+
+def nabla_expansion(c: SimplexPoint, p: FrequencyVector, nu: int) -> MixtureFunction:
+    """The averaged function written as a mixture of symmetrized functions.
+
+    Picking row i of the c-matrix n_i times contributes the symmetrization of
+    the picked columns' frequencies, weighted by the multinomial count of the
+    arrangements times prod p_i^{n_i}.  Pointwise equal to
+    nabla(build_upsilon(build_phi(c, nu), p, nu), c.q).
+    """
+    q = c.q
+    phi = build_phi(c, nu)
+    if len(p.p) != q:
+        raise PureILError(f"need {q} frequencies, got {len(p.p)}")
+    for i, freq in enumerate(p.p):
+        if (freq * nu).denominator != 1:
+            raise PureILError(f"frequency {i + 1} gives non-integral count at nu = {nu}")
+    parts = []
+    for n in compositions(q).elements:
+        weight = Fraction(multinomial(n))
+        for freq, count in zip(p.p, n):
+            weight *= freq ** count
+        if weight == 0:
+            continue
+        rows = tuple(
+            phi.rows[i] for i, count in enumerate(n) for _ in range(count)
+        )
+        parts.append((weight, SymmetrizedFunction(_column_point(rows, q, nu))))
+    return MixtureFunction(parts)

@@ -30,7 +30,6 @@ from pureil.nabla import (
     build_phi,
     build_upsilon,
     nabla,
-    nabla_expansion,
     nabla_no_replacement,
 )
 from pureil.principles import check_additivity, check_ex, check_ip, check_px, check_wip
@@ -42,6 +41,7 @@ from pureil.probability import (
     restrict,
     uniform_point,
 )
+from reference import nabla_expansion
 
 F = Fraction
 

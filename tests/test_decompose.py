@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from pureil.decompose import Decomposition, choose_p_vectors, decompose_px, decompose_y
+from pureil.decompose import (
+    Decomposition,
+    _verify_identity,
+    choose_p_vectors,
+    decompose_px,
+    decompose_y,
+)
 from pureil.errors import PureILError
 from pureil.language import all_state_descriptions
 from pureil.linalg import exact_det
@@ -15,7 +21,6 @@ from pureil.nabla import (
     build_upsilon,
     compositions,
     nabla,
-    nabla_expansion,
 )
 from pureil.principles import check_additivity, check_px
 from pureil.probability import (
@@ -26,7 +31,12 @@ from pureil.probability import (
     restrict,
     uniform_point,
 )
-from reference import permutation_expansion_det
+from reference import (
+    Tableless,
+    grid_verify_identity,
+    nabla_expansion,
+    permutation_expansion_det,
+)
 
 F = Fraction
 
@@ -243,3 +253,33 @@ def test_corner_average_is_already_invariant():
     d = decompose_px(mix, verify_n=3)
     for theta in all_state_descriptions(2, 3):
         assert mix.eval_sd(theta) == 2 * d.w1.eval_sd(theta) - d.w2.eval_sd(theta)
+
+
+def _one_constant_marginal(w) -> SimplexPoint:
+    return SimplexPoint(w.q, tuple(w.eval_sd(theta) for theta in all_state_descriptions(w.q, 1)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grid_matches_description_grid(seed):
+    rng = random.Random(400 + seed)
+    q = 2 + seed % 2
+    raw = [rng.randint(0, 3) for _ in range(2 ** q)]
+    raw[0] += 1
+    c = SimplexPoint(q, tuple(F(v, sum(raw)) for v in raw))
+    d = decompose_y(c, verify_n=1)
+    assert d.lam > 0
+    target = SymmetrizedFunction(c)
+    assert _verify_identity(target, d.lam, d.w1, d.w2, 3, q) is None
+    assert grid_verify_identity(target, d.lam, d.w1, d.w2, 3, q) is None
+    # a w2 with the same one-constant values first differs on two constants
+    perturbed = MixtureFunction(
+        [(F(1, 2), d.w2), (F(1, 2), ProductFunction(_one_constant_marginal(d.w2)))]
+    )
+    nudged = Tableless(d.w2, nudged={(2, 1, 2), (1, 2, 2, 1), (2, 2, 1)})
+    for w2 in (perturbed, Tableless(perturbed), nudged):
+        with pytest.raises(PureILError) as dense:
+            _verify_identity(target, d.lam, d.w1, w2, 3, q)
+        with pytest.raises(PureILError) as grid:
+            grid_verify_identity(target, d.lam, d.w1, w2, 3, q)
+        assert str(dense.value) == str(grid.value)
+    assert str(dense.value).startswith("internal error: decomposition identity fails at (2, 1, 2): ")

@@ -12,7 +12,7 @@ from pureil import feasibility
 from pureil.errors import CapExceededError, PureILError
 from pureil.feasibility import FeasibilityCertificate, extendable, verify_certificate
 from pureil.invariance import AltNotation, DiscreteMeasure, bernstein, dirac, transfer, transfer_matrix
-from tests.reference import fraction_fourier_motzkin, fraction_phase1_simplex
+from reference import fraction_fourier_motzkin, fraction_phase1_simplex
 
 F = Fraction
 
@@ -214,6 +214,19 @@ def test_fourier_motzkin_cap(monkeypatch):
     monkeypatch.setattr(feasibility, "FM_MAX_CONSTRAINTS", 18)
     assert extendable(C, 11, method="fourier-motzkin").status == "feasible"
     monkeypatch.setattr(feasibility, "FM_MAX_CONSTRAINTS", 17)
+    with pytest.raises(CapExceededError):
+        extendable(C, 11, method="fourier-motzkin")
+
+
+def test_fourier_motzkin_cap_refuses_before_a_later_contradiction(monkeypatch):
+    # infeasible at q = 4, r = 11: the elimination stages hold 15, 19, 24,
+    # 30, 37 and 45 constraints, and the contradiction appears in the stage
+    # after the largest one, so a cap below 45 refuses the run before it
+    C = AltNotation(4, (F(1, 3), F(1, 18), F(0), F(1, 36), F(1, 3)))
+    assert extendable(C, 11, method="simplex").status == "infeasible"
+    monkeypatch.setattr(feasibility, "FM_MAX_CONSTRAINTS", 45)
+    assert extendable(C, 11, method="fourier-motzkin").status == "infeasible"
+    monkeypatch.setattr(feasibility, "FM_MAX_CONSTRAINTS", 44)
     with pytest.raises(CapExceededError):
         extendable(C, 11, method="fourier-motzkin")
 

@@ -17,11 +17,10 @@ from pureil.nabla import (
     compositions,
     multinomial,
     nabla,
-    nabla_expansion,
     nabla_no_replacement,
-    row_pick_function,
 )
 from pureil.probability import ProductFunction, SimplexPoint, restrict, uniform_point
+from reference import nabla_expansion, row_pick_function
 
 F = Fraction
 
@@ -240,6 +239,16 @@ def test_restriction_coherence():
                 assert dropped.eval_sd(theta) == low.eval_sd(theta)
 
 
+def _point_weights(table) -> dict:
+    """A product table as a map from each point to its total weight, both as
+    exact fractions over the table's denominators."""
+    out: dict = {}
+    for weight, x in table.scaled:
+        point = tuple(F(v, table.entry_den) for v in x)
+        out[point] = out.get(point, 0) + F(weight, table.weight_den)
+    return out
+
+
 def test_restriction_coherence_widest():
     rng = random.Random(73)
     u = random_upsilon(rng, 8)
@@ -247,6 +256,8 @@ def test_restriction_coherence_widest():
     low = nabla(u, 3)
     for theta in all_state_descriptions(3, 3):
         assert dropped.eval_sd(theta) == low.eval_sd(theta)
+    # the marginal table is nabla's own table at the lower level
+    assert _point_weights(dropped._table) == _point_weights(low._table)
 
 
 def test_replacement_gap_bound():

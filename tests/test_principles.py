@@ -22,8 +22,10 @@ from pureil.probability import (
     ProductFunction,
     SimplexPoint,
     SymmetrizedFunction,
+    restrict,
     uniform_point,
 )
+from reference import Tableless, sweep_additivity, sweep_ex, sweep_ip, sweep_px
 
 F = Fraction
 
@@ -177,3 +179,83 @@ def test_bound_validation():
         check_px(w, 0)
     with pytest.raises(PureILError):
         check_ip(w, 1)
+
+
+class MarkovChain(ProbabilityFunction):
+    """Tableless chain over atoms: the first constant's atom from `start`, each
+    next one from the previous one's row.  Not exchangeable in the constants;
+    a row that sums to less than 1 also breaks additivity."""
+
+    tag = "markov"
+
+    def __init__(self, q: int, rng: random.Random, leaky: bool = False):
+        super().__init__(q)
+        self.start = _random_point(rng, q).x
+        self.rows = [_random_point(rng, q).x for _ in range(2 ** q)]
+        if leaky:
+            self.rows[-1] = tuple(v / 2 for v in self.rows[-1])
+
+    def _eval(self, h):
+        value = self.start[h[0] - 1]
+        for a, b in zip(h, h[1:]):
+            value *= self.rows[a - 1][b - 1]
+        return value
+
+
+def _random_point(rng: random.Random, q: int) -> SimplexPoint:
+    raw = [rng.randint(0, 4) for _ in range(2 ** q)]
+    raw[rng.randrange(2 ** q)] += 1
+    return SimplexPoint(q, tuple(F(v, sum(raw)) for v in raw))
+
+
+def _checked_functions(rng: random.Random, q: int) -> list:
+    """Passing and failing functions of every class at level q."""
+    x = _random_point(rng, q)
+    nu = rng.randint(2, 4)
+    u = UpsilonMatrix(nu, tuple((tuple(rng.randint(0, 1) for _ in range(nu)), 1) for _ in range(nu)))
+    return [
+        ProductFunction(x),
+        ProductFunction(uniform_point(q)),
+        SymmetrizedFunction(x),
+        nabla(u, q),
+        MixtureFunction([(F(1, 3), ProductFunction(x)), (F(2, 3), SymmetrizedFunction(_random_point(rng, q)))]),
+        restrict(ProductFunction(_random_point(rng, q + 1)), q),
+        restrict(nabla(u, q + 1), q),
+        Tableless(ProductFunction(x)),
+        MarkovChain(q, rng),
+        MarkovChain(q, rng, leaky=True),
+    ] + ([Tableless(ProductFunction(x), nudged={(2, 3, 1)})] if q >= 2 else [])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dense_sweeps_match_description_sweeps(seed):
+    rng = random.Random(300 + seed)
+    outcomes = set()
+    for q in (1, 2, 3):
+        for w in _checked_functions(rng, q) + ([CorruptedTable()] if q == 1 else []):
+            for checker, oracle in (
+                (check_px, sweep_px),
+                (check_ex, sweep_ex),
+                (check_ip, sweep_ip),
+                (check_additivity, sweep_additivity),
+            ):
+                got, want = checker(w, 3), oracle(w, 3)
+                # outcome, witness inputs and the Fraction lhs/rhs
+                assert got == want, (type(w).__name__, q, got, want)
+                if got.witness is not None:
+                    assert type(got.witness.lhs) is type(got.witness.rhs) is F
+                outcomes.add((got.principle, got.outcome))
+    principles = ("Px", "Ex", "IP", "Additivity")
+    assert outcomes == {(p, o) for p in principles for o in ("pass", "fail")}
+    # nudged on (2, 3, 1) only, every transposition of (1, 2, 3) keeps the
+    # value, so the first witness is a 3-cycle
+    report = check_ex(Tableless(ProductFunction(uniform_point(2)), nudged={(2, 3, 1)}), 3)
+    assert report.witness.as_dict() == {"theta": (1, 2, 3), "tau": (2, 3, 1)}
+
+
+def test_refused_sweep_evaluates_nothing():
+    w = Tableless(ProductFunction(uniform_point(2)))
+    for checker in (check_px, check_ex, check_ip, check_additivity):
+        with pytest.raises(CapExceededError):
+            checker(w, 3, work_cap=10)
+    assert w.calls == 0

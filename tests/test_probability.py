@@ -29,6 +29,7 @@ from pureil.probability import (
     uniform_point,
 )
 from reference import (
+    Tableless,
     completion_eval_partial,
     refinement_restriction,
     sentence_by_descriptions,
@@ -178,7 +179,7 @@ def test_flattened_mixture_equals_weighted_part_sum(seed):
 
 
 def test_mixture_with_generic_part_keeps_the_generic_path():
-    low = restrict(ProductFunction(uniform_point(3)), 2)
+    low = Tableless(restrict(ProductFunction(uniform_point(3)), 2))
     mix = MixtureFunction([(F(1, 2), low), (F(1, 2), SymmetrizedFunction(point(0, 1, 0, 0)))])
     assert mix._table is None
     for theta in all_state_descriptions(2, 2):
@@ -187,12 +188,12 @@ def test_mixture_with_generic_part_keeps_the_generic_path():
 
 def _oracle_functions(rng: random.Random, q: int) -> list:
     """A random product mixture, a restriction of one, and a tableless
-    mixture with a restricted part, all at level q."""
-    lifted = restrict(_random_function(rng, q + 1, 1), q)
+    mixture with a part restricted from a tableless function, all at level q."""
+    generic = restrict(Tableless(_random_function(rng, q + 1, 1)), q)
     return [
         _random_function(rng, q, 2),
-        lifted,
-        MixtureFunction([(F(1, 2), lifted), (F(1, 2), _random_function(rng, q, 1))]),
+        restrict(_random_function(rng, q + 1, 1), q),
+        MixtureFunction([(F(1, 2), generic), (F(1, 2), _random_function(rng, q, 1))]),
     ]
 
 
@@ -312,6 +313,15 @@ def test_generic_path_cap_is_on_the_description_count(monkeypatch):
     with pytest.raises(CapExceededError):
         w.eval_cells([range(1, 5)] * 3)
     assert w.calls == 16
+
+
+def test_mixture_with_restricted_part_evaluates_events_in_closed_form():
+    # the restriction carries its marginal table, so the mixture has one and
+    # the event needs no sum over its 2^30 descriptions
+    lifted = restrict(ProductFunction(uniform_point(12)), 11)
+    mix = MixtureFunction([(F(1, 2), lifted), (F(1, 2), ProductFunction(uniform_point(11)))])
+    assert mix._table is not None
+    assert mix.eval_sentence(parse_formula("P1(a1) | P1(a2) | P1(a3)")) == F(7, 8)
 
 
 def test_eval_sentence_basics():
